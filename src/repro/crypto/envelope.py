@@ -9,10 +9,14 @@ its exposure level permits (paper Figure 5):
 Level        Query envelope exposes                 Cache key (footnote 3)
 ===========  =====================================  =======================
 blind        nothing                                Enc(statement)
-template     template name + template SQL           template ‖ Enc(params)
-stmt         + bound statement (AST and SQL)        statement SQL
+template     template name                          template ‖ Enc(params)
+stmt         + parameter values                     statement SQL
 view         + plaintext result                     statement SQL
 ===========  =====================================  =======================
+
+No envelope carries SQL text: the DSSP holds each application's public
+template registry, so the name (plus, at ``stmt``, the parameters) already
+tells it the statement, which :class:`~repro.dssp.proxy.DsspNode` rebinds.
 
 Update envelopes are identical minus the ``view`` row.  Result envelopes
 are plaintext only at ``view``; below that they hold an encrypted payload
@@ -22,13 +26,14 @@ that only holders of the application's keyring can open.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from repro.analysis.exposure import ExposureLevel
 from repro.crypto.cipher import decrypt, encrypt
 from repro.crypto.keyring import Keyring, Purpose
 from repro.errors import CryptoError
-from repro.sql.ast import Delete, Insert, Select, Update
+from repro.sql.ast import Scalar, Select, Statement
 from repro.sql.parser import parse
 from repro.storage.rows import ResultSet
 from repro.templates.template import BoundQuery, BoundUpdate
@@ -38,7 +43,9 @@ __all__ = [
     "QueryEnvelope",
     "ResultEnvelope",
     "UpdateEnvelope",
+    "decode_params",
     "deserialize_result",
+    "encode_params",
     "serialize_result",
 ]
 
@@ -51,9 +58,8 @@ class QueryEnvelope:
     level: ExposureLevel
     cache_key: str
     template_name: str | None = None
-    template_sql: str | None = None
-    statement: Select | None = None
-    statement_sql: str | None = None
+    #: Plaintext parameter values, present at ``stmt`` exposure and above.
+    params: tuple[Scalar, ...] | None = None
     #: Ciphertexts the home server (key holder) uses to recover the query;
     #: opaque to the DSSP.
     sealed_statement: bytes | None = None
@@ -67,7 +73,7 @@ class QueryEnvelope:
     @property
     def statement_visible(self) -> bool:
         """True if the DSSP may use the bound statement (SIS and up)."""
-        return self.statement is not None
+        return self.params is not None
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,8 @@ class UpdateEnvelope:
     level: ExposureLevel
     opaque_id: str
     template_name: str | None = None
-    template_sql: str | None = None
-    statement: Insert | Delete | Update | None = None
-    statement_sql: str | None = None
+    #: Plaintext parameter values, present at ``stmt`` exposure.
+    params: tuple[Scalar, ...] | None = None
     #: Ciphertexts for the home server; opaque to the DSSP.
     sealed_statement: bytes | None = None
     sealed_params: bytes | None = None
@@ -93,7 +98,7 @@ class UpdateEnvelope:
     @property
     def statement_visible(self) -> bool:
         """True if the DSSP may use the bound statement."""
-        return self.statement is not None
+        return self.params is not None
 
 
 @dataclass(frozen=True)
@@ -137,6 +142,33 @@ def deserialize_result(data: bytes) -> ResultSet:
         raise CryptoError(f"malformed result payload: {error}") from error
 
 
+def encode_params(params: tuple[Scalar, ...]) -> bytes:
+    """Canonical byte form of a parameter tuple (sealed at ``template``,
+    plaintext on the wire at ``stmt`` and above)."""
+    return json.dumps(list(params), separators=(",", ":")).encode()
+
+
+def _is_scalar(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or type(value) in (str, int)
+
+
+def decode_params(data: bytes) -> tuple[Scalar, ...]:
+    """Inverse of :func:`encode_params`, accepting only SQL scalars.
+
+    Raises:
+        CryptoError: unless the payload is a JSON array of strings,
+            integers, finite floats and nulls (booleans, nested values,
+            NaN and infinities have no SQL literal).
+    """
+    try:
+        payload = json.loads(data.decode())
+    except (ValueError, UnicodeDecodeError, RecursionError) as error:
+        raise CryptoError(f"malformed parameters: {error}") from error
+    if not isinstance(payload, list) or not all(map(_is_scalar, payload)):
+        raise CryptoError("parameters are not an array of SQL scalars")
+    return tuple(payload)
 
 
 class EnvelopeCodec:
@@ -156,65 +188,25 @@ class EnvelopeCodec:
         self._statement_key = keyring.key_for(Purpose.STATEMENT)
         self._result_key = keyring.key_for(Purpose.RESULT)
         # Sealing is deterministic (SIV) and opening inverts it, so both
-        # are pure functions of (bound statement, level) / envelope
-        # identity — and web workloads re-seal the same popular statements
+        # are pure functions of (bound statement, level) / ciphertext —
+        # and web workloads re-seal the same popular statements
         # constantly.  BoundQuery/BoundUpdate hash by (template name,
-        # params), which keeps lookups cheap.
-        self._seal_query_memo: dict[tuple[BoundQuery, ExposureLevel], QueryEnvelope] = {}
-        self._seal_update_memo: dict[tuple[BoundUpdate, ExposureLevel], UpdateEnvelope] = {}
-        self._open_query_memo: dict[str, Select] = {}
-        self._open_update_memo: dict[str, Insert | Delete | Update] = {}
+        # params), which keeps lookups cheap, and never compare equal to
+        # each other, so one memo serves both.
+        self._seal_memo: dict[tuple, QueryEnvelope | UpdateEnvelope] = {}
+        self._params_memo: dict[bytes, tuple[Scalar, ...]] = {}
+        self._statement_memo: dict[bytes, Statement] = {}
 
     @property
     def app_id(self) -> str:
         """Application this codec seals for."""
         return self._keyring.app_id
 
-    # -- queries -----------------------------------------------------------
+    # -- queries and updates -----------------------------------------------
 
     def seal_query(self, query: BoundQuery, level: ExposureLevel) -> QueryEnvelope:
         """Produce the DSSP-visible form of a bound query."""
-        memo_key = (query, level)
-        sealed = self._seal_query_memo.get(memo_key)
-        if sealed is not None:
-            return sealed
-        sealed = self._seal_query(query, level)
-        if len(self._seal_query_memo) >= self.MEMO_LIMIT:
-            self._seal_query_memo.clear()
-        self._seal_query_memo[memo_key] = sealed
-        return sealed
-
-    def _seal_query(self, query: BoundQuery, level: ExposureLevel) -> QueryEnvelope:
-        app = self.app_id
-        if level >= ExposureLevel.STMT:
-            return QueryEnvelope(
-                app_id=app,
-                level=level,
-                cache_key=f"{app}|stmt|{query.sql}",
-                template_name=query.template.name,
-                template_sql=query.template.sql,
-                statement=query.select,
-                statement_sql=query.sql,
-            )
-        if level is ExposureLevel.TEMPLATE:
-            token = self._encrypt_params(query.params)
-            return QueryEnvelope(
-                app_id=app,
-                level=level,
-                cache_key=f"{app}|tmpl|{query.template.name}|{token.hex()}",
-                template_name=query.template.name,
-                template_sql=query.template.sql,
-                sealed_params=token,
-            )
-        token = encrypt(self._statement_key, query.sql.encode())
-        return QueryEnvelope(
-            app_id=app,
-            level=level,
-            cache_key=f"{app}|blind|{token.hex()}",
-            sealed_statement=token,
-        )
-
-    # -- updates ---------------------------------------------------------------
+        return self._seal(query, level, QueryEnvelope)
 
     def seal_update(
         self, update: BoundUpdate, level: ExposureLevel
@@ -226,47 +218,30 @@ class EnvelopeCodec:
         """
         if level is ExposureLevel.VIEW:
             raise CryptoError("update envelopes have no 'view' level")
-        memo_key = (update, level)
-        sealed = self._seal_update_memo.get(memo_key)
+        return self._seal(update, level, UpdateEnvelope)
+
+    def _seal(self, bound, level: ExposureLevel, kind):
+        # ``kind`` takes (app_id, level, cache key or opaque id,
+        # template name, ...): query and update envelopes share a layout.
+        memo_key = (bound, level)
+        sealed = self._seal_memo.get(memo_key)
         if sealed is not None:
             return sealed
-        sealed = self._seal_update(update, level)
-        if len(self._seal_update_memo) >= self.MEMO_LIMIT:
-            self._seal_update_memo.clear()
-        self._seal_update_memo[memo_key] = sealed
-        return sealed
-
-    def _seal_update(
-        self, update: BoundUpdate, level: ExposureLevel
-    ) -> UpdateEnvelope:
         app = self.app_id
-        if level is ExposureLevel.STMT:
-            return UpdateEnvelope(
-                app_id=app,
-                level=level,
-                opaque_id=f"{app}|stmt|{update.sql}",
-                template_name=update.template.name,
-                template_sql=update.template.sql,
-                statement=update.statement,
-                statement_sql=update.sql,
-            )
-        if level is ExposureLevel.TEMPLATE:
-            token = self._encrypt_params(update.params)
-            return UpdateEnvelope(
-                app_id=app,
-                level=level,
-                opaque_id=f"{app}|tmpl|{update.template.name}|{token.hex()}",
-                template_name=update.template.name,
-                template_sql=update.template.sql,
-                sealed_params=token,
-            )
-        token = encrypt(self._statement_key, update.sql.encode())
-        return UpdateEnvelope(
-            app_id=app,
-            level=level,
-            opaque_id=f"{app}|blind|{token.hex()}",
-            sealed_statement=token,
-        )
+        name = bound.template.name
+        if level >= ExposureLevel.STMT:
+            key = f"{app}|stmt|{bound.sql}"
+            sealed = kind(app, level, key, name, params=bound.params)
+        elif level is ExposureLevel.TEMPLATE:
+            token = self._encrypt_params(bound.params)
+            key = f"{app}|tmpl|{name}|{token.hex()}"
+            sealed = kind(app, level, key, name, sealed_params=token)
+        else:
+            token = encrypt(self._statement_key, bound.sql.encode())
+            key = f"{app}|blind|{token.hex()}"
+            sealed = kind(app, level, key, sealed_statement=token)
+        self._remember(self._seal_memo, memo_key, sealed)
+        return sealed
 
     # -- results -----------------------------------------------------------------
 
@@ -302,63 +277,35 @@ class EnvelopeCodec:
 
         Args:
             envelope: As received from the DSSP.
-            registry: The application's template registry, needed to rebuild
-                statements from ``template``-level envelopes.
+            registry: The application's template registry, which binds
+                every template-visible envelope's parameters.
 
         Raises:
             CryptoError: wrong application or tampered payload.
+            TemplateError: unknown template name or wrong parameters.
         """
-        self._check_app(envelope.app_id)
-        if envelope.statement is not None:
-            return envelope.statement
-        # Deterministic sealing makes the cache key a stable identity for
-        # the underlying statement, so decrypt/re-bind work is memoizable.
-        cached = self._open_query_memo.get(envelope.cache_key)
-        if cached is not None:
-            return cached
-        if envelope.sealed_params is not None:
-            assert envelope.template_name is not None
-            params = self._decrypt_params(envelope.sealed_params)
-            template = registry.query(envelope.template_name)
-            statement = template.bind(params).select
-        else:
-            assert envelope.sealed_statement is not None
-            sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
-            statement = parse(sql)
-            if not isinstance(statement, Select):
-                raise CryptoError("sealed query does not decode to a SELECT")
-        if len(self._open_query_memo) >= self.MEMO_LIMIT:
-            self._open_query_memo.clear()
-        self._open_query_memo[envelope.cache_key] = statement
-        return statement
+        return self._open(envelope, registry.query, query=True)
 
     def open_update(self, envelope: UpdateEnvelope, registry):
         """Recover the bound update statement from an update envelope.
 
         Raises:
             CryptoError: wrong application or tampered payload.
+            TemplateError: unknown template name or wrong parameters.
         """
+        return self._open(envelope, registry.update, query=False)
+
+    def _open(self, envelope, template_named, *, query: bool):
         self._check_app(envelope.app_id)
-        if envelope.statement is not None:
-            return envelope.statement
-        cached = self._open_update_memo.get(envelope.opaque_id)
-        if cached is not None:
-            return cached
-        if envelope.sealed_params is not None:
-            assert envelope.template_name is not None
-            params = self._decrypt_params(envelope.sealed_params)
-            template = registry.update(envelope.template_name)
-            statement = template.bind(params).statement
-        else:
-            assert envelope.sealed_statement is not None
-            sql = decrypt(self._statement_key, envelope.sealed_statement).decode()
-            statement = parse(sql)
-            if isinstance(statement, Select):
-                raise CryptoError("sealed update decodes to a SELECT")
-        if len(self._open_update_memo) >= self.MEMO_LIMIT:
-            self._open_update_memo.clear()
-        self._open_update_memo[envelope.opaque_id] = statement
-        return statement
+        if envelope.sealed_statement is not None:
+            statement = self._open_statement(envelope.sealed_statement)
+            if isinstance(statement, Select) is not query:
+                kind = "query" if query else "update"
+                raise CryptoError(f"sealed {kind} decodes to the wrong kind")
+            return statement
+        template = template_named(envelope.template_name)
+        bound = template.bind(self._params(envelope))
+        return bound.select if query else bound.statement
 
     def _check_app(self, app_id: str) -> None:
         if app_id != self.app_id:
@@ -369,9 +316,30 @@ class EnvelopeCodec:
     # -- helpers ------------------------------------------------------------------
 
     def _encrypt_params(self, params: tuple) -> bytes:
-        payload = json.dumps(list(params), separators=(",", ":")).encode()
-        return encrypt(self._params_key, payload)
+        return encrypt(self._params_key, encode_params(params))
 
-    def _decrypt_params(self, token: bytes) -> tuple:
-        payload = json.loads(decrypt(self._params_key, token).decode())
-        return tuple(payload)
+    def _params(self, envelope: QueryEnvelope | UpdateEnvelope) -> tuple:
+        """Plaintext parameters at ``stmt`` and up, decrypted below."""
+        if envelope.params is not None:
+            return envelope.params
+        token = envelope.sealed_params
+        if token is None:
+            raise CryptoError("envelope carries no parameters")
+        params = self._params_memo.get(token)
+        if params is None:
+            params = decode_params(decrypt(self._params_key, token))
+            self._remember(self._params_memo, token, params)
+        return params
+
+    def _open_statement(self, token: bytes):
+        """Decrypt and parse a blind envelope's sealed statement."""
+        statement = self._statement_memo.get(token)
+        if statement is None:
+            statement = parse(decrypt(self._statement_key, token).decode())
+            self._remember(self._statement_memo, token, statement)
+        return statement
+
+    def _remember(self, memo: dict, key, value) -> None:
+        if len(memo) >= self.MEMO_LIMIT:
+            memo.clear()
+        memo[key] = value

@@ -239,8 +239,17 @@ class ViewCache:
 
     # -- write path -----------------------------------------------------------
 
-    def put(self, envelope: QueryEnvelope, result: ResultEnvelope) -> CacheEntry:
-        """Insert (or refresh) the cached result for a query envelope."""
+    def put(
+        self,
+        envelope: QueryEnvelope,
+        result: ResultEnvelope,
+        statement: Select | None = None,
+    ) -> CacheEntry:
+        """Insert (or refresh) the cached result for a query envelope.
+
+        ``statement`` is the bound SELECT the node rebuilt from the
+        envelope, None when the envelope hides it.
+        """
         if result.app_id != envelope.app_id:
             raise CacheError("result/query envelope application mismatch")
         view_rows = result.plaintext if envelope.level is ExposureLevel.VIEW else None
@@ -250,7 +259,7 @@ class ViewCache:
             level=envelope.level,
             result=result,
             template_name=envelope.template_name,
-            statement=envelope.statement,
+            statement=statement,
             view_rows=view_rows,
         )
         old = self._entries.get(entry.key)

@@ -59,6 +59,9 @@ class HomeServer:
         The result is sealed at the *query template's* policy level, so the
         DSSP learns its contents only if the template is at ``view``.
         """
+        blind = envelope.level is ExposureLevel.BLIND
+        if envelope.template_name is None and not blind:
+            raise CacheError("non-blind envelope without template identity")
         with trace_span("home.crypto_open"):
             select = self.codec.open_query(envelope, self.registry)
         with trace_span("home.db_execute") as execute_span:
@@ -84,6 +87,4 @@ class HomeServer:
             return self.policy.query_level(envelope.template_name)
         # Blind envelope: the template identity itself is hidden, so the
         # result must certainly not be exposed.
-        if envelope.level is not ExposureLevel.BLIND:
-            raise CacheError("non-blind envelope without template identity")
         return ExposureLevel.BLIND

@@ -31,6 +31,7 @@ from repro.dssp.cache import CacheEntry, ViewCache
 from repro.dssp.predicate_index import update_pinned_values
 from repro.dssp.stats import DsspStats
 from repro.dssp.view_checks import view_allows_skip
+from repro.sql.ast import Delete, Insert, Update
 from repro.templates.classify import is_ignorable
 from repro.templates.registry import TemplateRegistry
 
@@ -126,8 +127,14 @@ class InvalidationEngine:
         envelope: UpdateEnvelope,
         cache: ViewCache,
         stats: DsspStats | None = None,
+        *,
+        statement: Insert | Delete | Update | None,
     ) -> int:
-        """Invalidate everything the update may have changed; returns count."""
+        """Invalidate everything the update may have changed; returns count.
+
+        ``statement`` is the bound update the node rebuilt from the
+        envelope, None when the envelope hides it.
+        """
         app_id = envelope.app_id
         self._used_index = False
         self._used_sweep = False
@@ -158,7 +165,7 @@ class InvalidationEngine:
             if not self._invalidates_at_template_level(update_name, bucket_name):
                 continue
             total += self._process_bucket(
-                envelope, cache, app_id, bucket_name, stats
+                envelope, statement, cache, app_id, bucket_name, stats
             )
         if self._used_index:
             self.last_path = "mixed" if self._used_sweep else "indexed"
@@ -169,12 +176,13 @@ class InvalidationEngine:
     def _process_bucket(
         self,
         envelope: UpdateEnvelope,
+        statement: Insert | Delete | Update | None,
         cache: ViewCache,
         app_id: str,
         bucket_name: str,
         stats: DsspStats | None,
     ) -> int:
-        if not envelope.statement_visible:
+        if statement is None:
             # Update at 'template' exposure: entry A governs every pair.
             count = cache.invalidate_bucket(app_id, bucket_name)
             if stats is not None:
@@ -182,8 +190,6 @@ class InvalidationEngine:
             self._used_sweep = True
             return count
 
-        update_statement = envelope.statement
-        assert update_statement is not None
         entries: Iterable[CacheEntry]
         if self._predicate_index:
             # Predicate-index fast path: visit only the entries whose
@@ -193,7 +199,7 @@ class InvalidationEngine:
             if stats is not None:
                 stats.index_lookups += 1
             candidates = cache.predicate_candidates(
-                app_id, bucket_name, update_pinned_values(update_statement)
+                app_id, bucket_name, update_pinned_values(statement)
             )
             if candidates is None:
                 self._used_sweep = True
@@ -211,7 +217,7 @@ class InvalidationEngine:
             entries = cache.bucket(app_id, bucket_name)
         victims: list[str] = []
         for entry in entries:
-            if self._entry_survives(envelope, entry, stats):
+            if self._entry_survives(envelope.opaque_id, statement, entry, stats):
                 continue
             victims.append(entry.key)
         count = cache.invalidate_many(victims)
@@ -221,30 +227,32 @@ class InvalidationEngine:
 
     def _entry_survives(
         self,
-        envelope: UpdateEnvelope,
+        opaque_id: str,
+        statement: Insert | Delete | Update,
         entry: CacheEntry,
         stats: DsspStats | None,
     ) -> bool:
         """Can this entry be proven unaffected, given its exposure level?"""
         if entry.statement is None:
             return False  # entry at 'template' level: IPM entry A → invalidate
-        if self._statements_independent(envelope, entry, stats):
+        if self._statements_independent(opaque_id, statement, entry, stats):
             return True
         if entry.view_rows is None:
             return False  # 'stmt' level: no view to inspect
         # View decisions are NOT memoized: the rows behind the same cache
         # key change whenever the entry is refilled after an invalidation.
         return view_allows_skip(
-            self._schema, envelope.statement, entry.statement, entry.view_rows
+            self._schema, statement, entry.statement, entry.view_rows
         )
 
     def _statements_independent(
         self,
-        envelope: UpdateEnvelope,
+        opaque_id: str,
+        statement: Insert | Delete | Update,
         entry: CacheEntry,
         stats: DsspStats | None,
     ) -> bool:
-        memo_key = (envelope.opaque_id, entry.key)
+        memo_key = (opaque_id, entry.key)
         cached = self._statement_decision.get(memo_key)
         if cached is not None:
             if stats is not None:
@@ -254,7 +262,7 @@ class InvalidationEngine:
             stats.invalidation_checks += 1
         independent = statement_independent(
             self._schema,
-            envelope.statement,
+            statement,
             entry.statement,
             equality_only=self._equality_only,
         )

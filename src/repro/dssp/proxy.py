@@ -6,6 +6,10 @@ the node through sealed envelopes produced by their application's
 :class:`~repro.crypto.envelope.EnvelopeCodec`; the node itself never holds
 keys.
 
+Envelopes carry a template name and, at ``stmt`` and above, parameters;
+:meth:`DsspNode._statement` rebinds the statement the cache and the
+invalidation engine reason about.
+
 The ``query``/``update`` methods also report *where* the work happened
 (cache hit vs home round trip) so the scalability simulator can attach
 realistic service times and network delays.
@@ -24,6 +28,7 @@ from repro.dssp.predicate_index import PredicateIndexer
 from repro.dssp.stats import DsspStats
 from repro.errors import CacheError, UnknownApplicationError
 from repro.obs.trace import span as trace_span
+from repro.sql.ast import Statement
 from repro.templates.registry import TemplateRegistry
 
 __all__ = ["DsspNode", "QueryOutcome", "UpdateOutcome"]
@@ -47,6 +52,7 @@ class UpdateOutcome:
 
 @dataclass
 class _Tenant:
+    registry: TemplateRegistry
     engine: InvalidationEngine
     #: None for remote tenants: the application's home lives across the
     #: network and miss/update forwarding is the service layer's job.
@@ -80,13 +86,8 @@ class DsspNode:
         self, home: HomeServer, registry: TemplateRegistry | None = None
     ) -> None:
         """Attach an application: its home server and public template set."""
-        if home.app_id in self._tenants:
-            raise CacheError(f"application {home.app_id!r} already registered")
-        resolved = registry or home.registry
-        engine = self._build_engine(resolved)
-        if self._predicate_index:
-            self.cache.register_indexer(home.app_id, PredicateIndexer(resolved))
-        self._tenants[home.app_id] = _Tenant(engine=engine, home=home)
+        self.register_remote(home.app_id, registry or home.registry)
+        self._tenants[home.app_id].home = home
 
     def register_remote(self, app_id: str, registry: TemplateRegistry) -> None:
         """Attach an application whose home server is across the network.
@@ -99,7 +100,7 @@ class DsspNode:
             raise CacheError(f"application {app_id!r} already registered")
         if self._predicate_index:
             self.cache.register_indexer(app_id, PredicateIndexer(registry))
-        self._tenants[app_id] = _Tenant(engine=self._build_engine(registry))
+        self._tenants[app_id] = _Tenant(registry, self._build_engine(registry))
 
     def is_registered(self, app_id: str) -> bool:
         """True if the application is already a tenant of this node."""
@@ -118,6 +119,29 @@ class DsspNode:
             return self._tenants[app_id]
         except KeyError:
             raise UnknownApplicationError(app_id) from None
+
+    def _statement(
+        self, tenant: _Tenant, envelope: QueryEnvelope | UpdateEnvelope
+    ) -> Statement | None:
+        """The bound statement an envelope names; None if it hides it.
+
+        A visible template name is checked even when the parameters are
+        sealed.  Binding is memoized (:meth:`QueryTemplate.bind`).
+
+        Raises:
+            TemplateError: unknown template name, or parameters that do
+                not bind (wrong count, non-integer LIMIT).
+        """
+        name = envelope.template_name
+        if name is None:
+            return None
+        query = isinstance(envelope, QueryEnvelope)
+        registry = tenant.registry
+        template = registry.query(name) if query else registry.update(name)
+        if envelope.params is None:
+            return None
+        bound = template.bind(envelope.params)
+        return bound.select if query else bound.statement
 
     def _local_home(self, app_id: str) -> HomeServer:
         tenant = self._tenant(app_id)
@@ -171,13 +195,13 @@ class DsspNode:
     def fill(self, envelope: QueryEnvelope) -> ResultEnvelope:
         """Phase 2 of a missed query: home round trip + cache admission."""
         result = self._local_home(envelope.app_id).serve_query(envelope)
-        self.cache.put(envelope, result)
+        self.admit(envelope, result)
         return result
 
     def admit(self, envelope: QueryEnvelope, result: ResultEnvelope) -> None:
         """Cache a result fetched from a *remote* home (service layer)."""
-        self._tenant(envelope.app_id)  # validate tenancy
-        self.cache.put(envelope, result)
+        statement = self._statement(self._tenant(envelope.app_id), envelope)
+        self.cache.put(envelope, result, statement)
 
     def forward_update(self, envelope: UpdateEnvelope) -> int:
         """Phase 1 of an update: application at the home server."""
@@ -188,8 +212,9 @@ class DsspNode:
         tenant = self._tenant(envelope.app_id)
         with trace_span("dssp.invalidate") as invalidate_span:
             started = time.perf_counter()
+            statement = self._statement(tenant, envelope)
             count = tenant.engine.process_update(
-                envelope, self.cache, self.stats
+                envelope, self.cache, self.stats, statement=statement
             )
             self.stats.invalidation_time_s += time.perf_counter() - started
             invalidate_span.set("invalidated", count)

@@ -35,6 +35,7 @@ from repro.errors import (
     NetError,
     NetTimeoutError,
     ReproError,
+    TemplateError,
     UnknownApplicationError,
     WireError,
 )
@@ -306,7 +307,11 @@ class DsspNetServer(WireServer):
     def _apply_push(
         self, envelope, request_id: str | None, stream_ctx: dict
     ) -> None:
-        """Invalidate for one pushed update; failures log, never kill."""
+        """Invalidate for one pushed update; failures log, never kill.
+
+        Except a push that does not bind: it is a bad frame, and the
+        stream loop's resubscribe flushes what it might have covered.
+        """
         try:
             # Per-entry trace id: the push span joins the trace of the
             # update that caused it, on whichever node receives it.
@@ -314,6 +319,9 @@ class DsspNetServer(WireServer):
                 self.node.invalidate_for(envelope)
             self.stream_pushes_applied += 1
             self.metrics.counter("dssp.stream_pushes").inc()
+        except TemplateError as error:
+            self.metrics.counter("server.bad_frames").inc()
+            raise WireError(f"push does not bind: {error}") from error
         except ReproError:
             logger.exception(
                 "invalidation push failed",
@@ -332,15 +340,7 @@ class DsspNetServer(WireServer):
         """Keep one invalidation-stream subscription alive with backoff."""
         attempt = 0
         while True:
-            client = self._home_clients.get(home)
-            if client is None:
-                client = self._home_client(
-                    next(
-                        app
-                        for app, addr in self._home_addresses.items()
-                        if addr == home
-                    )
-                )
+            client = self._home_client(app_ids[0])  # the home's shared client
             stream_ctx = {
                 "server": self.server_id,
                 "home": f"{home[0]}:{home[1]}",

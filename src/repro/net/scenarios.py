@@ -49,6 +49,7 @@ from repro.workloads.base import Operation
 from repro.workloads.trace import Trace, record_trace
 
 __all__ = [
+    "KNEE_MAX_DROP_RATE",
     "SCENARIOS",
     "ScenarioDeployment",
     "deploy_scenario",
@@ -382,16 +383,25 @@ async def run_scenario(
     return report.with_invalidations(deployment.sum_invalidations() - before)
 
 
+#: Largest share of arrivals a point may drop and still count as served.
+KNEE_MAX_DROP_RATE = 0.01
+
+
 def find_knee(points: list[dict], deadline_s: float) -> float | None:
-    """Last offered rate (ascending) with p99 still under the deadline.
+    """Last offered rate (ascending) with p99 under the deadline and at
+    most :data:`KNEE_MAX_DROP_RATE` of arrivals dropped (shedding keeps an
+    overloaded point's p99 low by turning arrivals away).
 
     The prefix has to hold too: a point past saturation whose p99 dips
-    back under the deadline (drops thin the histogram) must not resurrect
-    the knee.  ``None`` when even the first point blows the deadline.
+    back under the deadline must not resurrect the knee.  ``None`` when
+    even the first point fails.
     """
     knee = None
     for point in points:
-        if point["p99_s"] > deadline_s:
+        if (
+            point["p99_s"] > deadline_s
+            or point["drop_rate"] > KNEE_MAX_DROP_RATE
+        ):
             break
         knee = point["offered_rate_s"]
     return knee

@@ -33,6 +33,7 @@ from repro.errors import (
     NetTimeoutError,
     ReproError,
     ServerOverloadedError,
+    TemplateError,
     UnknownApplicationError,
     WireError,
 )
@@ -336,7 +337,9 @@ class WireServer:
                     # A downstream hop shed the request unprocessed: relay the
                     # code so the client keeps its retry-safety guarantee.
                     return ErrorResponse(ErrorCode.OVERLOADED, str(error))
-                except WireError as error:
+                except (WireError, TemplateError) as error:
+                    # A template name or parameter tuple the registry
+                    # cannot bind is malformed input, like a bad frame.
                     self.metrics.counter("server.bad_frames").inc()
                     return ErrorResponse(ErrorCode.BAD_FRAME, str(error))
                 except ReproError as error:

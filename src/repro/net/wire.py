@@ -1,6 +1,6 @@
 """Length-prefixed binary wire protocol for the DSSP service layer.
 
-Framing, protocol version 2 (all integers big-endian)::
+Framing, protocol version 3 (all integers big-endian)::
 
     +-------+---------+------------+---------+--------------+========+=========+
     | magic | version | frame type | rid len | payload len  |  rid   | payload |
@@ -12,14 +12,14 @@ Framing, protocol version 2 (all integers big-endian)::
 per logical request (:func:`repro.obs.new_request_id`), servers echo it on
 the response, and a DSSP node forwards the *same* id on its miss/update
 hop to the home server, so one id correlates the whole request path.
-Version 1 frames (no rid slot) are rejected: the id sits before the
-payload and cannot be skipped safely.
+Frames of any other version are rejected at the header (version 2
+envelopes carried SQL text; version 1 had no rid slot).
 
 Payloads are sequences of primitive fields: ``u8``/``u32`` integers,
 length-prefixed UTF-8 strings, length-prefixed byte strings, and optionals
-(a one-byte presence flag followed by the value).  Statements travel as
-their SQL text and are re-parsed on decode — the parser/formatter pair
-round-trips the AST exactly, which the codec property tests pin down.
+(a one-byte presence flag followed by the value).  A statement travels
+as its template name plus, at ``stmt`` exposure and above, its parameters
+as a JSON array; no SQL text does, since both ends hold the registry.
 
 Security invariant: the codec is a *projection* of the envelope — it writes
 only fields the envelope carries, and envelopes carry plaintext only for
@@ -29,7 +29,8 @@ the DSSP-visible fields in memory; nothing is opened or re-sealed en route.
 
 Every decode error raises :class:`~repro.errors.WireError` (the ``BAD_FRAME``
 wire code): truncated or oversized frames, bad magic/version, unknown frame
-types, trailing bytes, and statement text that does not parse.
+types, trailing bytes, and parameters that are not a JSON array of SQL
+scalars (booleans, nested values, NaN and infinities are refused).
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ from repro.crypto.envelope import (
     QueryEnvelope,
     ResultEnvelope,
     UpdateEnvelope,
+    decode_params,
     deserialize_result,
+    encode_params,
     serialize_result,
 )
-from repro.errors import CryptoError, SqlError, WireError
-from repro.sql.ast import Delete, Insert, Select, Update
-from repro.sql.formatter import to_sql
-from repro.sql.parser import parse
+from repro.errors import CryptoError, WireError
 
 __all__ = [
     "ErrorCode",
@@ -83,7 +83,7 @@ __all__ = [
 ]
 
 MAGIC = b"DW"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct(">2sBBBI")
 HEADER_SIZE = _HEADER.size
 #: Default ceiling on payload size; a frame claiming more is rejected
@@ -314,6 +314,13 @@ class _Writer:
         return bytes(self._buf)
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as error:
+        raise WireError(f"invalid UTF-8 in {what}: {error}") from error
+
+
 class _Reader:
     def __init__(self, data: bytes) -> None:
         self._data = data
@@ -341,10 +348,7 @@ class _Reader:
         return self._take(length)
 
     def text(self) -> str:
-        try:
-            return self.blob().decode()
-        except UnicodeDecodeError as error:
-            raise WireError(f"invalid UTF-8 in string field: {error}") from error
+        return _utf8(self.blob(), "string field")
 
     def opt_blob(self) -> bytes | None:
         flag = self.u8()
@@ -356,12 +360,7 @@ class _Reader:
 
     def opt_text(self) -> str | None:
         raw = self.opt_blob()
-        if raw is None:
-            return None
-        try:
-            return raw.decode()
-        except UnicodeDecodeError as error:
-            raise WireError(f"invalid UTF-8 in string field: {error}") from error
+        return None if raw is None else _utf8(raw, "string field")
 
     def at_end(self) -> bool:
         """True when the payload is exhausted (for trailing optionals)."""
@@ -385,85 +384,39 @@ def _read_level(reader: _Reader) -> ExposureLevel:
         raise WireError(f"unknown exposure level {raw}") from None
 
 
-def _read_statement(reader: _Reader):
-    source = reader.opt_text()
-    if source is None:
+def _read_params(reader: _Reader):
+    raw = reader.opt_blob()
+    if raw is None:
         return None
     try:
-        return parse(source)
-    except SqlError as error:
-        raise WireError(f"statement does not parse: {error}") from error
+        return decode_params(raw)
+    except CryptoError as error:
+        raise WireError(str(error)) from error
 
 
-def _write_query_envelope(writer: _Writer, envelope: QueryEnvelope) -> None:
+def _write_envelope(
+    writer: _Writer, envelope: QueryEnvelope | UpdateEnvelope, key: str
+) -> None:
+    """Query and update envelopes share one layout; ``key`` is the cache
+    key or opaque id."""
     writer.text(envelope.app_id)
     writer.u8(int(envelope.level))
-    writer.text(envelope.cache_key)
+    writer.text(key)
     writer.opt_text(envelope.template_name)
-    writer.opt_text(envelope.template_sql)
-    writer.opt_text(
-        None if envelope.statement is None else to_sql(envelope.statement)
+    writer.opt_blob(
+        None if envelope.params is None else encode_params(envelope.params)
     )
-    writer.opt_text(envelope.statement_sql)
     writer.opt_blob(envelope.sealed_statement)
     writer.opt_blob(envelope.sealed_params)
 
 
-def _read_query_envelope(reader: _Reader) -> QueryEnvelope:
-    app_id = reader.text()
-    level = _read_level(reader)
-    cache_key = reader.text()
-    template_name = reader.opt_text()
-    template_sql = reader.opt_text()
-    statement = _read_statement(reader)
-    if statement is not None and not isinstance(statement, Select):
-        raise WireError("query envelope statement is not a SELECT")
-    return QueryEnvelope(
-        app_id=app_id,
-        level=level,
-        cache_key=cache_key,
-        template_name=template_name,
-        template_sql=template_sql,
-        statement=statement,
-        statement_sql=reader.opt_text(),
-        sealed_statement=reader.opt_blob(),
-        sealed_params=reader.opt_blob(),
-    )
-
-
-def _write_update_envelope(writer: _Writer, envelope: UpdateEnvelope) -> None:
-    writer.text(envelope.app_id)
-    writer.u8(int(envelope.level))
-    writer.text(envelope.opaque_id)
-    writer.opt_text(envelope.template_name)
-    writer.opt_text(envelope.template_sql)
-    writer.opt_text(
-        None if envelope.statement is None else to_sql(envelope.statement)
-    )
-    writer.opt_text(envelope.statement_sql)
-    writer.opt_blob(envelope.sealed_statement)
-    writer.opt_blob(envelope.sealed_params)
-
-
-def _read_update_envelope(reader: _Reader) -> UpdateEnvelope:
-    app_id = reader.text()
-    level = _read_level(reader)
-    opaque_id = reader.text()
-    template_name = reader.opt_text()
-    template_sql = reader.opt_text()
-    statement = _read_statement(reader)
-    if statement is not None and not isinstance(
-        statement, (Insert, Delete, Update)
-    ):
-        raise WireError("update envelope statement is not a DML statement")
-    return UpdateEnvelope(
-        app_id=app_id,
-        level=level,
-        opaque_id=opaque_id,
-        template_name=template_name,
-        template_sql=template_sql,
-        statement=statement,
-        statement_sql=reader.opt_text(),
+def _read_envelope(reader: _Reader, kind):
+    return kind(
+        reader.text(),
+        _read_level(reader),
+        reader.text(),
+        template_name=reader.opt_text(),
+        params=_read_params(reader),
         sealed_statement=reader.opt_blob(),
         sealed_params=reader.opt_blob(),
     )
@@ -499,11 +452,11 @@ def _read_result_envelope(reader: _Reader) -> ResultEnvelope:
 
 def _write_payload(writer: _Writer, frame: Frame) -> FrameType:
     if isinstance(frame, QueryRequest):
-        _write_query_envelope(writer, frame.envelope)
+        _write_envelope(writer, frame.envelope, frame.envelope.cache_key)
         return FrameType.QUERY
     if isinstance(frame, UpdateRequest):
         writer.opt_text(frame.origin)
-        _write_update_envelope(writer, frame.envelope)
+        _write_envelope(writer, frame.envelope, frame.envelope.opaque_id)
         return FrameType.UPDATE
     if isinstance(frame, SubscribeRequest):
         writer.text(frame.node_id)
@@ -540,13 +493,13 @@ def _write_payload(writer: _Writer, frame: Frame) -> FrameType:
             writer.u8(1)
         return FrameType.SUBSCRIBED
     if isinstance(frame, InvalidationPush):
-        _write_update_envelope(writer, frame.envelope)
+        _write_envelope(writer, frame.envelope, frame.envelope.opaque_id)
         return FrameType.INVALIDATE
     if isinstance(frame, InvalidationBatch):
         writer.u32(len(frame.entries))
         for entry_rid, envelope in frame.entries:
             writer.opt_text(entry_rid)
-            _write_update_envelope(writer, envelope)
+            _write_envelope(writer, envelope, envelope.opaque_id)
         return FrameType.INVALIDATE_BATCH
     if isinstance(frame, ErrorResponse):
         writer.u8(int(frame.code))
@@ -599,10 +552,11 @@ def _read_shard_topology(reader: _Reader) -> tuple[tuple[str, ...], int]:
 def _decode_payload(frame_type: int, payload: bytes) -> Frame:
     reader = _Reader(payload)
     if frame_type == FrameType.QUERY:
-        frame: Frame = QueryRequest(_read_query_envelope(reader))
+        frame: Frame = QueryRequest(_read_envelope(reader, QueryEnvelope))
     elif frame_type == FrameType.UPDATE:
         origin = reader.opt_text()
-        frame = UpdateRequest(_read_update_envelope(reader), origin=origin)
+        envelope = _read_envelope(reader, UpdateEnvelope)
+        frame = UpdateRequest(envelope, origin=origin)
     elif frame_type == FrameType.SUBSCRIBE:
         node_id = reader.text()
         app_ids = _read_app_ids(reader)
@@ -629,14 +583,14 @@ def _decode_payload(frame_type: int, payload: bytes) -> Frame:
             shard_filtered=_read_capability(reader),
         )
     elif frame_type == FrameType.INVALIDATE:
-        frame = InvalidationPush(_read_update_envelope(reader))
+        frame = InvalidationPush(_read_envelope(reader, UpdateEnvelope))
     elif frame_type == FrameType.INVALIDATE_BATCH:
         count = reader.u32()
         if count == 0 or count > MAX_BATCH_ENTRIES:
             raise WireError(f"implausible batch entry count {count}")
         frame = InvalidationBatch(
             tuple(
-                (reader.opt_text(), _read_update_envelope(reader))
+                (reader.opt_text(), _read_envelope(reader, UpdateEnvelope))
                 for _ in range(count)
             )
         )
@@ -676,12 +630,7 @@ def _encode_request_id(request_id: str | None) -> bytes:
 
 
 def _decode_request_id(raw: bytes) -> str | None:
-    if not raw:
-        return None
-    try:
-        return raw.decode()
-    except UnicodeDecodeError as error:
-        raise WireError(f"invalid UTF-8 in request id: {error}") from error
+    return _utf8(raw, "request id") if raw else None
 
 
 def encode_frame(
@@ -812,26 +761,14 @@ async def read_traced(
     Raises:
         WireError: on EOF mid-frame, oversized frames, or codec failures.
     """
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise WireError(
-            f"connection closed mid-header ({len(error.partial)} bytes)"
-        ) from error
-    frame_type, rid_length, length = _check_header(header, max_frame=max_frame)
-    try:
-        body = await reader.readexactly(rid_length + length)
-    except asyncio.IncompleteReadError as error:
-        raise WireError(
-            f"connection closed mid-frame ({len(error.partial)} of "
-            f"{rid_length + length} body bytes)"
-        ) from error
+    raw = await read_raw_frame(reader, max_frame=max_frame)
+    if raw is None:
+        return None
     if observer is not None:
-        observer(header + body)
-    request_id = _decode_request_id(body[:rid_length])
-    return _decode_payload(frame_type, body[rid_length:]), request_id
+        observer(raw)
+    frame_type, request_id = peek_raw(raw)
+    payload = raw[HEADER_SIZE + raw[4] :]  # raw[4] is the rid length
+    return _decode_payload(frame_type, payload), request_id
 
 
 async def read_frame(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.trace import Span
+from repro.simulation.metrics import percentile
 
 __all__ = [
     "TraceNode",
@@ -242,13 +243,6 @@ def critical_path(tree: TraceTree) -> dict:
     }
 
 
-def _quantile(ordered: list[float], q: float) -> float:
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(q * len(ordered)))
-    return ordered[index]
-
-
 def phase_aggregates(spans: list[Span]) -> dict[str, dict]:
     """Exact per-phase latency aggregates over a span population."""
     by_name: dict[str, list[float]] = {}
@@ -261,9 +255,9 @@ def phase_aggregates(spans: list[Span]) -> dict[str, dict]:
             "count": len(durations),
             "total_s": sum(durations),
             "mean_s": sum(durations) / len(durations),
-            "p50_s": _quantile(durations, 0.50),
-            "p90_s": _quantile(durations, 0.90),
-            "p99_s": _quantile(durations, 0.99),
+            "p50_s": percentile(durations, 0.50),
+            "p90_s": percentile(durations, 0.90),
+            "p99_s": percentile(durations, 0.99),
             "max_s": durations[-1],
         }
     return aggregates

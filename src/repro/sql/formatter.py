@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal
-from functools import lru_cache
 
 from repro.errors import UnsupportedSqlError
 
@@ -37,14 +36,8 @@ from repro.sql.ast import (
 __all__ = ["to_sql"]
 
 
-@lru_cache(maxsize=8192)
 def to_sql(node: Statement) -> str:
-    """Render any statement AST back to canonical SQL text.
-
-    Memoized: nodes are frozen (value-hashable) and the rendering is pure,
-    while the DSSP hot paths re-render the same popular bound statements on
-    every cache lookup and invalidation pass.
-    """
+    """Render any statement AST back to canonical SQL text."""
     if isinstance(node, Select):
         return _format_select(node)
     if isinstance(node, Insert):

@@ -33,7 +33,9 @@ class TestQueryEnvelopes:
         env = codec.seal_query(bound_query, ExposureLevel.VIEW)
         assert env.statement_visible
         assert env.template_visible
-        assert env.statement_sql == "SELECT qty FROM toys WHERE toy_id = 5"
+        assert env.template_name == "Q2"
+        assert env.params == (5,)
+        assert env.cache_key == "toystore|stmt|SELECT qty FROM toys WHERE toy_id = 5"
 
     def test_stmt_level_exposes_statement(self, codec, bound_query):
         env = codec.seal_query(bound_query, ExposureLevel.STMT)
@@ -44,17 +46,18 @@ class TestQueryEnvelopes:
         env = codec.seal_query(bound_query, ExposureLevel.TEMPLATE)
         assert env.template_visible
         assert not env.statement_visible
-        assert env.statement is None
-        assert env.statement_sql is None
+        assert env.params is None
+        assert env.sealed_params is not None
         assert env.cache_key.startswith("toystore|tmpl|Q2|")
-        assert env.template_sql == "SELECT qty FROM toys WHERE toy_id = ?"
+        assert env.template_name == "Q2"
 
     def test_blind_level_hides_everything(self, codec, bound_query):
         env = codec.seal_query(bound_query, ExposureLevel.BLIND)
         assert not env.template_visible
         assert not env.statement_visible
         assert env.template_name is None
-        assert env.template_sql is None
+        assert env.params is None
+        assert env.sealed_params is None
 
     def test_cache_keys_deterministic(self, codec, bound_query):
         for level in ExposureLevel:

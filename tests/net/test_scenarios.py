@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.net.scenarios import (
+    KNEE_MAX_DROP_RATE,
     SCENARIOS,
     deploy_scenario,
     find_knee,
@@ -49,8 +50,8 @@ def make_trace() -> Trace:
     )
 
 
-def point(rate: float, p99: float) -> dict:
-    return {"offered_rate_s": rate, "p99_s": p99}
+def point(rate: float, p99: float, drop_rate: float = 0.0) -> dict:
+    return {"offered_rate_s": rate, "p99_s": p99, "drop_rate": drop_rate}
 
 
 class TestFindKnee:
@@ -70,6 +71,18 @@ class TestFindKnee:
 
     def test_empty_sweep_has_no_knee(self):
         assert find_knee([], deadline_s=0.1) is None
+
+    def test_dropping_point_ends_the_knee_despite_p99(self):
+        # Measured on a 20 ms-latency sweep: at 786/s offered, shedding
+        # dropped 44% of arrivals, which kept p99 at 433 ms, inside the
+        # 500 ms deadline.  Such a point is past the knee.
+        points = [point(174.7, 0.261), point(786, 0.433, drop_rate=0.44)]
+        assert find_knee(points, deadline_s=0.5) == 174.7
+
+    def test_drop_rate_limit_is_inclusive(self):
+        limit = KNEE_MAX_DROP_RATE
+        points = [point(10, 0.01, drop_rate=limit), point(20, 0.01, 0.02)]
+        assert find_knee(points, deadline_s=0.1) == 10
 
 
 class TestHotQueryPage:

@@ -38,9 +38,10 @@ from repro.net.wire import (
 from repro.sql.parser import parse
 from repro.storage.rows import ResultSet
 
-# A corpus of statements in the supported dialect; the codec ships
-# statements as SQL text, so parse→format→parse must be the identity on
-# everything it can carry.
+# A corpus of statements in the supported dialect.  Envelopes carry no SQL
+# text, but the DSSP's rebound statement equals what the version-2 wire
+# delivered (parse of the rendered text) only because parse→format→parse
+# is the identity.
 _SELECT_SQL = [
     "SELECT toy_id FROM toys WHERE toy_name = 'bear'",
     "SELECT qty FROM toys WHERE toy_id = 7",
@@ -60,6 +61,15 @@ DMLS = [parse(sql) for sql in _DML_SQL]
 _text = st.text(max_size=40)
 _opt_text = st.none() | _text
 _opt_blob = st.none() | st.binary(max_size=60)
+#: Statement parameters as envelopes carry them: absent, or a tuple of
+#: SQL scalars.
+_scalars = (
+    st.none()
+    | st.integers(-(2**63), 2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+_opt_params = st.none() | st.lists(_scalars, max_size=5).map(tuple)
 _levels = st.sampled_from(list(ExposureLevel))
 _update_levels = st.sampled_from(
     [ExposureLevel.BLIND, ExposureLevel.TEMPLATE, ExposureLevel.STMT]
@@ -73,9 +83,7 @@ def query_envelopes(draw) -> QueryEnvelope:
         level=draw(_levels),
         cache_key=draw(_text),
         template_name=draw(_opt_text),
-        template_sql=draw(_opt_text),
-        statement=draw(st.none() | st.sampled_from(SELECTS)),
-        statement_sql=draw(_opt_text),
+        params=draw(_opt_params),
         sealed_statement=draw(_opt_blob),
         sealed_params=draw(_opt_blob),
     )
@@ -88,9 +96,7 @@ def update_envelopes(draw) -> UpdateEnvelope:
         level=draw(_update_levels),
         opaque_id=draw(_text),
         template_name=draw(_opt_text),
-        template_sql=draw(_opt_text),
-        statement=draw(st.none() | st.sampled_from(DMLS)),
-        statement_sql=draw(_opt_text),
+        params=draw(_opt_params),
         sealed_statement=draw(_opt_blob),
         sealed_params=draw(_opt_blob),
     )
@@ -189,7 +195,7 @@ def frames(draw):
 
 class TestStatementCorpus:
     def test_corpus_round_trips_through_the_parser(self):
-        """Precondition for shipping statements as SQL text."""
+        """Precondition for rebinding instead of re-parsing."""
         from repro.sql.formatter import to_sql
 
         for statement in SELECTS + DMLS:
@@ -341,35 +347,26 @@ class TestRejection:
         with pytest.raises(WireError, match="exceeds"):
             encode_frame(frame, max_frame=10)
 
-    def test_statement_that_does_not_parse_rejected(self):
+    def test_params_that_do_not_decode_rejected(self):
         frame = QueryRequest(
             QueryEnvelope(
                 app_id="a",
                 level=ExposureLevel.STMT,
                 cache_key="k",
-                statement=SELECTS[0],
+                template_name="Q1",
+                params=(7, "bear"),
             )
         )
         encoded = encode_frame(frame)
-        corrupted = encoded.replace(b"SELECT", b"SELECT)")
-        with pytest.raises(WireError):
+        corrupted = encoded.replace(b'[7,"bear"]', b'[7,"bear"}')
+        with pytest.raises(WireError, match="malformed parameters"):
             decode_frame(corrupted)
 
-    def test_dml_in_query_envelope_rejected(self):
-        query_frame = encode_frame(QueryRequest(
-            QueryEnvelope(
-                app_id="a",
-                level=ExposureLevel.STMT,
-                cache_key="k",
-                statement=SELECTS[1],
-            )
-        ))
-        corrupted = query_frame.replace(
-            b"SELECT qty FROM toys WHERE toy_id = 7",
-            b"DELETE FROM toys WHERE toy_id = 70000",  # same byte length
-        )
-        with pytest.raises(WireError, match="not a SELECT"):
-            decode_frame(corrupted)
+    def test_version_2_peer_rejected_at_header(self):
+        encoded = bytearray(encode_frame(StatsRequest()))
+        encoded[2] = 2
+        with pytest.raises(WireError, match="version 2"):
+            decode_frame(bytes(encoded))
 
 
 class TestBatchCapability:
@@ -546,7 +543,8 @@ class TestExposureOnTheWire:
             QueryRequest(codec.seal_query(bound, ExposureLevel.TEMPLATE))
         )
         assert b"marker-toy" not in raw  # parameters sealed
-        assert b"SELECT" in raw  # template SQL is exposed by design
+        assert b"Q1" in raw  # the template name is exposed by design
+        assert b"SELECT" not in raw  # its SQL is not: the DSSP has it
 
     def test_stmt_query_exposes_statement(self, codec, simple_toystore):
         bound = simple_toystore.query("Q1").bind(["marker-toy"])

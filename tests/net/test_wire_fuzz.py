@@ -31,6 +31,29 @@ SAMPLE_FRAMES = [
         ),
         origin="dssp-0",
     ),
+    wire.QueryRequest(
+        QueryEnvelope(
+            app_id="toystore",
+            level=ExposureLevel.STMT,
+            cache_key="k2",
+            template_name="Q1",
+            params=("toy5", 7, -1.5, None),
+        )
+    ),
+    wire.InvalidationBatch(
+        (
+            (
+                "rid-u",
+                UpdateEnvelope(
+                    app_id="toystore",
+                    level=ExposureLevel.STMT,
+                    opaque_id="u2",
+                    template_name="U1",
+                    params=(5,),
+                ),
+            ),
+        )
+    ),
     wire.SubscribeRequest("dssp-1", ("toystore", "bboard")),
     wire.QueryResponse(
         ResultEnvelope(app_id="toystore", ciphertext=b"sealed"),
@@ -130,6 +153,47 @@ def test_reader_terminates_on_truncated_stream(which, data):
     original = ENCODED[which]
     cut = data.draw(st.integers(min_value=1, max_value=len(original) - 1))
     asyncio.run(_feed_and_read(original[:cut], wire.read_traced))
+
+
+#: Parameter values with no SQL literal: each must fail decode with a
+#: WireError (BAD_FRAME) in every envelope-carrying frame type.
+NON_SCALAR_PARAMS = [
+    (True,), (False, 1), ([1],), ({"a": 1},), (float("nan"),),
+    (float("inf"),), (float("-inf"),),
+]
+
+
+def _frames_carrying(params):
+    update = UpdateEnvelope(
+        app_id="toystore",
+        level=ExposureLevel.STMT,
+        opaque_id="u",
+        template_name="U1",
+        params=params,
+    )
+    yield wire.QueryRequest(
+        QueryEnvelope(
+            app_id="toystore",
+            level=ExposureLevel.STMT,
+            cache_key="k",
+            template_name="Q2",
+            params=params,
+        )
+    )
+    yield wire.UpdateRequest(update, origin="dssp-0")
+    yield wire.InvalidationPush(update)
+    yield wire.InvalidationBatch((("rid", update),))
+
+
+def test_non_scalar_params_rejected_in_every_envelope_frame():
+    for params in NON_SCALAR_PARAMS:
+        for frame in _frames_carrying(params):
+            try:
+                wire.decode_traced(wire.encode_frame(frame))
+            except WireError as error:
+                assert "parameters" in str(error)
+                continue
+            raise AssertionError(f"{frame!r} decoded")
 
 
 def test_samples_round_trip():
